@@ -426,7 +426,7 @@ fn handoff<R: RawLock>(threads: usize) -> u64 {
 }
 
 fn bench_lock_ops(c: &mut Criterion) {
-    // The queue-lock toolkit measurement (DESIGN.md substitution #9):
+    // The queue-lock toolkit measurement (DESIGN.md substitution #8):
     // uncontended latency (where parking_lot's adaptive fast path is the
     // bar) and 2/4/8-way handoff latency (where local spinning on a
     // per-waiter flag is supposed to pay for itself against the global

@@ -214,7 +214,6 @@ fn main() {
         ("--queue-capacity C", "entries buffered per queue (default 1024)"),
         ("--flush-batch F", "largest pump flush batch (default 256)"),
         ("--watermark H", "per-shard high watermark; 0 disables (default 0)"),
-        ("--pump-threads T", "pump driver threads (default 1)"),
         ("--batch-size B", "worker pop batch size (default 8)"),
         ("--shards S", "scheduler shards (default 3)"),
         ("--reps R", "repetitions per workload"),
@@ -252,7 +251,6 @@ fn main() {
             queue_capacity: args.get_usize("queue-capacity", 1024),
             flush_batch: args.get_usize("flush-batch", 256),
             shard_watermark: if watermark == 0 { usize::MAX } else { watermark },
-            pump_threads: args.get_usize("pump-threads", 1),
         },
         shards: args.get_usize("shards", 3),
         reclaim: args

@@ -2,11 +2,12 @@
 //! handles, and the exactly-once completion ledger.
 //!
 //! A [`Producer`] pushes `(priority, task)` requests into its assigned
-//! [`IngestQueue`]; an async *pump* (one per queue, see the module docs of
+//! [`IngestQueue`]; a *pump* thread (one per queue, see the module docs of
 //! [`crate::service`]) drains the queue in batches into the shared
-//! scheduler. The queue is the backpressure boundary: `push` blocks while
-//! the queue is at capacity, so a stalled pump (shard high watermark) backs
-//! up into the producers. Sealing is sticky and layered — a queue seals when
+//! scheduler, blocking in [`IngestQueue::take_batch`] while it is empty.
+//! The queue is the backpressure boundary: `push` blocks while the queue is
+//! at capacity, so a stalled pump (shard high watermark) backs up into the
+//! producers. Sealing is sticky and layered — a queue seals when
 //! its last producer drops or on an explicit [`Producer::seal_all`]; the
 //! [`Ledger`] seals when every queue has sealed.
 
@@ -15,7 +16,6 @@ use rsched_sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::collections::VecDeque;
 use std::fmt;
 use std::sync::{Condvar, Mutex};
-use std::task::Waker;
 
 /// The exactly-once completion ledger: two monotone counters whose equality
 /// (once producers are sealed) is the service's termination condition.
@@ -104,28 +104,30 @@ struct QueueInner {
     open_producers: usize,
     /// Sticky: set when the last producer drops or on explicit seal.
     sealed: bool,
-    /// The pump's waker, registered when it observed the queue empty.
-    pump: Option<Waker>,
+    /// Set while the pump waits in `take_batch` on the empty queue; only
+    /// then does a push pay for a condvar notify.
+    pump_waiting: bool,
 }
 
 /// What [`IngestQueue::take_batch`] observed.
 pub(crate) enum TakeStatus {
     /// At least one entry was moved into the caller's buffer.
     Took,
-    /// Empty but not sealed; the pump's waker was registered.
-    Pending,
     /// Empty and sealed: no entry will ever arrive again.
     Drained,
 }
 
-/// One bounded MPMC ingestion queue (mutex + condvar for the blocking
-/// producer side, a registered [`Waker`] for the async pump side).
+/// One bounded MPMC ingestion queue: a mutex-guarded ring with one condvar
+/// per blocking side (producers on a full queue, the pump on an empty one).
 #[derive(Debug)]
 pub(crate) struct IngestQueue {
     inner: Mutex<QueueInner>,
     /// Signaled when entries leave the queue or the queue seals — what
     /// producers blocked on a full queue wait on.
     space: Condvar,
+    /// Signaled when an entry arrives for a waiting pump or the queue seals
+    /// — what the pump blocked on an empty queue waits on.
+    items: Condvar,
     capacity: usize,
     /// Live buffered-entry gauge (`service_ingest_depth{queue="i"}`); a ZST
     /// unless the `obs` feature is on.
@@ -138,6 +140,7 @@ impl fmt::Debug for QueueInner {
             .field("len", &self.entries.len())
             .field("open_producers", &self.open_producers)
             .field("sealed", &self.sealed)
+            .field("pump_waiting", &self.pump_waiting)
             .finish()
     }
 }
@@ -163,9 +166,10 @@ impl IngestQueue {
                 entries: VecDeque::new(),
                 open_producers: producers,
                 sealed: producers == 0,
-                pump: None,
+                pump_waiting: false,
             }),
             space: Condvar::new(),
+            items: Condvar::new(),
             capacity,
             depth,
         }
@@ -193,32 +197,28 @@ impl IngestQueue {
         inner.entries.push_back((priority, task));
         ledger.accept();
         self.depth.add(1);
-        let waker = inner.pump.take();
+        // Clear the flag so only the first push into an empty queue pays
+        // for the notify; the pump re-raises it before waiting again.
+        let wake = std::mem::take(&mut inner.pump_waiting);
         drop(inner);
-        if let Some(w) = waker {
-            w.wake();
+        if wake {
+            self.items.notify_one();
         }
         Ok(())
     }
 
     /// Moves up to `max` entries into `out` (FIFO — arrival order is
-    /// preserved through to the scheduler insert). On an empty-but-open
-    /// queue, registers `waker` so the next push or seal re-polls the pump;
-    /// the register-then-report-pending order plus wake-on-push makes lost
-    /// wakeups impossible.
-    pub(crate) fn take_batch(
-        &self,
-        out: &mut Vec<(u64, TaskId)>,
-        max: usize,
-        waker: &Waker,
-    ) -> TakeStatus {
+    /// preserved through to the scheduler insert). Blocks while the queue
+    /// is empty and open; the flag is raised and the wait entered under the
+    /// queue lock that every push and seal takes, so no wakeup is lost.
+    pub(crate) fn take_batch(&self, out: &mut Vec<(u64, TaskId)>, max: usize) -> TakeStatus {
         let mut inner = self.inner.lock().unwrap();
-        if inner.entries.is_empty() {
+        while inner.entries.is_empty() {
             if inner.sealed {
                 return TakeStatus::Drained;
             }
-            inner.pump = Some(waker.clone());
-            return TakeStatus::Pending;
+            inner.pump_waiting = true;
+            inner = self.items.wait(inner).unwrap();
         }
         let n = inner.entries.len().min(max);
         out.extend(inner.entries.drain(..n));
@@ -238,12 +238,9 @@ impl IngestQueue {
             rsched_obs::counter!("service_queue_seal_total").inc();
         }
         inner.sealed = true;
-        let waker = inner.pump.take();
         drop(inner);
         self.space.notify_all();
-        if let Some(w) = waker {
-            w.wake();
-        }
+        self.items.notify_all();
     }
 
     /// One producer handle dropped; the last one out seals the queue.
@@ -262,13 +259,8 @@ impl IngestQueue {
             }
         };
         if sealed_now {
-            // Re-lock briefly to grab the waker; cheaper than holding the
-            // lock across the wake.
-            let waker = self.inner.lock().unwrap().pump.take();
             self.space.notify_all();
-            if let Some(w) = waker {
-                w.wake();
-            }
+            self.items.notify_all();
         }
         sealed_now
     }
@@ -283,19 +275,13 @@ impl IngestQueue {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Arc;
-    use std::task::Wake;
+    use std::time::{Duration, Instant};
 
-    struct Flag(AtomicBool);
-    impl Wake for Flag {
-        fn wake(self: Arc<Self>) {
-            self.0.store(true, Ordering::SeqCst);
+    /// Spins until a `take_batch` on another thread is waiting on `q`.
+    fn wait_for_pump(q: &IngestQueue) {
+        while !q.inner.lock().unwrap().pump_waiting {
+            std::thread::yield_now();
         }
-    }
-
-    fn flag_waker() -> (Waker, Arc<Flag>) {
-        let flag = Arc::new(Flag(AtomicBool::new(false)));
-        (Waker::from(flag.clone()), flag)
     }
 
     #[test]
@@ -306,9 +292,8 @@ mod tests {
             q.push(i as u64, i, &ledger).unwrap();
         }
         assert_eq!(ledger.accepted(), 5);
-        let (waker, _) = flag_waker();
         let mut out = Vec::new();
-        assert!(matches!(q.take_batch(&mut out, 3, &waker), TakeStatus::Took));
+        assert!(matches!(q.take_batch(&mut out, 3), TakeStatus::Took));
         assert_eq!(out, vec![(0, 0), (1, 1), (2, 2)]);
     }
 
@@ -322,28 +307,54 @@ mod tests {
     }
 
     #[test]
-    fn empty_open_queue_registers_waker_and_push_wakes() {
+    fn take_on_empty_open_queue_blocks_until_push() {
         let ledger = Ledger::new();
         let q = IngestQueue::new(4, 1, 0);
-        let (waker, flag) = flag_waker();
-        let mut out = Vec::new();
-        assert!(matches!(q.take_batch(&mut out, 4, &waker), TakeStatus::Pending));
-        assert!(!flag.0.load(Ordering::SeqCst));
-        q.push(7, 7, &ledger).unwrap();
-        assert!(flag.0.load(Ordering::SeqCst), "push must wake the registered pump");
+        std::thread::scope(|s| {
+            let pump = s.spawn(|| {
+                let mut out = Vec::new();
+                let status = q.take_batch(&mut out, 4);
+                (matches!(status, TakeStatus::Took), out)
+            });
+            wait_for_pump(&q);
+            assert!(!pump.is_finished(), "take_batch returned from an empty open queue");
+            q.push(7, 7, &ledger).unwrap();
+            let deadline = Instant::now() + Duration::from_secs(10);
+            while !pump.is_finished() && Instant::now() < deadline {
+                std::thread::yield_now();
+            }
+            let released = pump.is_finished();
+            // Seal releases a pump the push failed to wake, so the scope
+            // joins and the test fails instead of hanging.
+            q.seal();
+            assert!(released, "push must release the waiting pump");
+            assert_eq!(pump.join().unwrap(), (true, vec![(7, 7)]));
+        });
+        assert!(!q.inner.lock().unwrap().pump_waiting, "the push must clear the flag");
     }
 
     #[test]
-    fn last_producer_release_seals_and_wakes() {
+    fn seal_releases_waiting_take_with_drained() {
+        let q = IngestQueue::new(4, 1, 0);
+        std::thread::scope(|s| {
+            let pump = s.spawn(|| matches!(q.take_batch(&mut Vec::new(), 4), TakeStatus::Drained));
+            wait_for_pump(&q);
+            q.seal();
+            assert!(pump.join().unwrap(), "seal must release the pump with Drained");
+        });
+    }
+
+    #[test]
+    fn last_producer_release_releases_waiting_take_with_drained() {
         let q = IngestQueue::new(4, 2, 0);
-        let (waker, flag) = flag_waker();
-        let mut out = Vec::new();
-        assert!(matches!(q.take_batch(&mut out, 4, &waker), TakeStatus::Pending));
-        assert!(!q.release_producer());
-        assert!(!flag.0.load(Ordering::SeqCst));
-        assert!(q.release_producer());
-        assert!(flag.0.load(Ordering::SeqCst), "seal must wake the pump");
-        assert!(matches!(q.take_batch(&mut out, 4, &waker), TakeStatus::Drained));
+        std::thread::scope(|s| {
+            let pump = s.spawn(|| matches!(q.take_batch(&mut Vec::new(), 4), TakeStatus::Drained));
+            wait_for_pump(&q);
+            assert!(!q.release_producer());
+            assert!(!pump.is_finished(), "one producer is still open");
+            assert!(q.release_producer());
+            assert!(pump.join().unwrap(), "the last release must release the pump with Drained");
+        });
     }
 
     #[test]
@@ -356,9 +367,8 @@ mod tests {
             let pusher = s.spawn(|| q.push(2, 2, &ledger));
             // Give the pusher time to block on the full queue, then drain.
             std::thread::sleep(std::time::Duration::from_millis(20));
-            let (waker, _) = flag_waker();
             let mut out = Vec::new();
-            assert!(matches!(q.take_batch(&mut out, 1, &waker), TakeStatus::Took));
+            assert!(matches!(q.take_batch(&mut out, 1), TakeStatus::Took));
             assert_eq!(out.len(), 1);
             assert_eq!(pusher.join().unwrap(), Ok(()));
         });

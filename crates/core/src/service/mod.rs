@@ -8,7 +8,7 @@
 //! tasks arrive over time. [`run_service`] is that shape:
 //!
 //! ```text
-//!  N producers ──► bounded MPMC ingestion queues ──► async pumps ──►
+//!  N producers ──► bounded MPMC ingestion queues ──► pump threads ──►
 //!      ShardedScheduler (live) ◄──► M workers (the same worker engine
 //!      that runs the prefill executors)
 //! ```
@@ -16,18 +16,14 @@
 //! * **Producers** ([`Producer`]) are plain closures on their own threads;
 //!   [`Producer::push`] blocks when the assigned queue is full — the
 //!   backpressure boundary.
-//! * **Pumps** are hand-rolled futures (one per queue). By default one
-//!   thread drives them all through the vendored `futures` shim's
-//!   `block_on(join_all(..))`; setting [`ServiceConfig::pump_threads`]
-//!   above 1 spreads them over the shim's `ThreadPool` instead, so one
-//!   busy queue cannot delay another's flush. A pump
-//!   drains its queue FIFO in batches into
-//!   [`ConcurrentScheduler::insert_batch`], but first awaits shard
-//!   capacity: while the scheduler's
-//!   [`max_partition_load`](SchedulerLoad::max_partition_load) is at or
-//!   above [`ServiceConfig::shard_watermark`], the pump parks on a waker
-//!   that workers signal as they retire occupancy. A stalled pump fills its
-//!   queue, which blocks its producers: saturation propagates upstream
+//! * **Pumps** are plain threads, one per queue, so a busy queue never
+//!   delays another's flush. A pump drains its queue FIFO in batches into
+//!   [`ConcurrentScheduler::insert_batch`], blocking on the queue's condvar
+//!   while it is empty, but first waits for shard capacity: while the
+//!   scheduler's [`max_partition_load`](SchedulerLoad::max_partition_load)
+//!   is at or above [`ServiceConfig::shard_watermark`], the pump parks
+//!   until a worker that retired occupancy unparks it. A stalled pump fills
+//!   its queue, which blocks its producers: saturation propagates upstream
 //!   instead of ballooning the scheduler.
 //! * **Workers** run the exact engine of
 //!   [`run_concurrent_batched`](crate::framework::run_concurrent_batched) —
@@ -41,7 +37,7 @@
 //!
 //! Shutdown is a wave through the pipeline: producers finish (or
 //! [`Producer::seal_all`] is called) → each queue **seals** → pumps flush
-//! what remains and complete → workers drain the scheduler → everyone
+//! what remains and return → workers drain the scheduler → everyone
 //! joins. Termination is decided by the [ledger](self): `accepted` counts
 //! every task admitted (producer pushes and handler follow-up submits),
 //! `decided` counts terminal outcomes. Once all queues are sealed and
@@ -73,7 +69,7 @@ use rsched_queues::{ConcurrentScheduler, SchedulerLoad};
 use rsched_sync::atomic::{fence, AtomicBool, AtomicUsize, Ordering};
 use rsched_sync::sync::Mutex;
 use std::fmt;
-use std::task::{Poll, Waker};
+use std::thread::{self, Thread};
 use std::time::{Duration, Instant};
 
 /// Tuning knobs of one [`run_service`] run.
@@ -95,12 +91,6 @@ pub struct ServiceConfig {
     /// Pumps stall while any shard holds at least this many tasks;
     /// `usize::MAX` (the default) disables the watermark.
     pub shard_watermark: usize,
-    /// Threads driving the ingestion pumps. The default (1) runs every
-    /// queue's pump on one `block_on(join_all(..))` loop — any pump wake
-    /// re-polls all of them. Larger values spread the pumps over a
-    /// [`futures::executor::ThreadPool`] of this size, so a stalled or
-    /// busy queue no longer delays its siblings' flushes.
-    pub pump_threads: usize,
 }
 
 impl Default for ServiceConfig {
@@ -112,7 +102,6 @@ impl Default for ServiceConfig {
             queue_capacity: 1024,
             flush_batch: 256,
             shard_watermark: usize::MAX,
-            pump_threads: 1,
         }
     }
 }
@@ -200,7 +189,7 @@ impl Drop for Producer<'_> {
 /// (dropping the handle seals its share of the ingestion side).
 pub type ProducerFn<'env> = Box<dyn for<'p> FnOnce(Producer<'p>) + Send + 'env>;
 
-/// Wakers of pumps parked on the shard watermark. `armed` is the workers'
+/// Pump threads parked on the shard watermark. `armed` is the workers'
 /// fast path: they skip the mutex entirely until some pump has registered.
 /// The SeqCst fences pair the pump's register→re-check with the worker's
 /// drain→check (store-buffering shape): at least one side must see the
@@ -210,7 +199,7 @@ pub type ProducerFn<'env> = Box<dyn for<'p> FnOnce(Producer<'p>) + Send + 'env>;
 #[doc(hidden)] // public only so the model-checker suite can drive it
 pub struct CapacityWaiters {
     armed: AtomicBool,
-    wakers: Mutex<Vec<Waker>>,
+    pumps: Mutex<Vec<Thread>>,
 }
 
 /// One side of the register→re-check / drain→check fence pair. The model
@@ -241,41 +230,42 @@ fn capacity_armed_ordering() -> Ordering {
 }
 
 impl CapacityWaiters {
-    /// Registers `waker` for the next capacity wake. The caller must
+    /// Registers `pump` for the next capacity wake. The caller must
     /// re-check its stall condition *after* this returns and only then
-    /// return `Pending`.
-    pub fn register(&self, waker: &Waker) {
+    /// park.
+    pub fn register(&self, pump: Thread) {
         rsched_obs::counter!("service_pump_park_total").inc();
         rsched_obs::instant!("pump_park");
-        let mut ws = self.wakers.lock().unwrap();
-        if !ws.iter().any(|w| w.will_wake(waker)) {
-            ws.push(waker.clone());
+        let mut ps = self.pumps.lock().unwrap();
+        if !ps.iter().any(|p| p.id() == pump.id()) {
+            ps.push(pump);
         }
         self.armed.store(true, capacity_armed_ordering());
-        drop(ws);
+        drop(ps);
         capacity_fence();
     }
 
-    /// Wakes every registered pump (workers call this after runs that
-    /// retired scheduler occupancy).
-    pub fn wake_all(&self) {
+    /// Unparks every registered pump (workers call this after runs that
+    /// retired scheduler occupancy) and returns how many it unparked.
+    pub fn wake_all(&self) -> usize {
         capacity_fence();
         if !self.armed.load(capacity_armed_ordering()) {
-            return;
+            return 0;
         }
-        let drained: Vec<Waker> = {
-            let mut ws = self.wakers.lock().unwrap();
+        let drained: Vec<Thread> = {
+            let mut ps = self.pumps.lock().unwrap();
             self.armed.store(false, capacity_armed_ordering());
-            std::mem::take(&mut *ws)
+            std::mem::take(&mut *ps)
         };
         rsched_obs::counter!("service_pump_unpark_total").add(drained.len() as u64);
-        for w in drained {
-            w.wake();
+        for p in &drained {
+            p.unpark();
         }
+        drained.len()
     }
 }
 
-/// Shared state of one service run: queues, ledger, capacity wakers.
+/// Shared state of one service run: queues, ledger, capacity waiters.
 #[derive(Debug)]
 struct ServiceCore {
     queues: Vec<IngestQueue>,
@@ -321,44 +311,41 @@ where
     }
 }
 
-/// One queue's pump: awaits shard capacity, drains a FIFO batch, bulk-loads
-/// it, repeats; completes when the queue is sealed and empty.
-fn pump<'a, S>(
-    queue: &'a IngestQueue,
-    sched: &'a S,
-    core: &'a ServiceCore,
+/// One queue's pump thread: waits for shard capacity, drains a FIFO batch,
+/// bulk-loads it, repeats; returns once the queue is sealed and empty.
+fn pump<S>(
+    queue: &IngestQueue,
+    sched: &S,
+    capacity: &CapacityWaiters,
     watermark: usize,
     flush_batch: usize,
-) -> impl std::future::Future<Output = ()> + 'a
-where
+) where
     S: ConcurrentScheduler<TaskId> + SchedulerLoad,
 {
     let mut buf: Vec<(u64, TaskId)> = Vec::with_capacity(flush_batch);
-    futures::future::poll_fn(move |cx| loop {
-        if sched.max_partition_load() >= watermark {
+    loop {
+        while sched.max_partition_load() >= watermark {
             // Register first, re-check second: a worker draining between
-            // the two wakes us immediately instead of being missed.
-            core.capacity.register(cx.waker());
+            // the two unparks us instead of being missed. A spurious or
+            // stale unpark only costs one more trip round this loop.
+            capacity.register(thread::current());
             if sched.max_partition_load() >= watermark {
-                return Poll::Pending;
+                thread::park();
             }
         }
         buf.clear();
-        match queue.take_batch(&mut buf, flush_batch, cx.waker()) {
+        match queue.take_batch(&mut buf, flush_batch) {
             TakeStatus::Took => sched.insert_batch(&buf),
-            TakeStatus::Pending => return Poll::Pending,
-            TakeStatus::Drained => return Poll::Ready(()),
+            TakeStatus::Drained => return,
         }
-    })
+    }
 }
 
 /// Runs a streaming service to drain: spawns one thread per producer
-/// closure, the pump driver (one `block_on` thread, or a
-/// [`ServiceConfig::pump_threads`]-sized pool), and `config.workers`
-/// engine workers; returns when the
-/// last producer is done, ingestion is flushed, the scheduler is drained,
-/// and every thread has joined. See the [module docs](self) for the
-/// architecture and the drain protocol.
+/// closure, one pump thread per ingestion queue, and `config.workers`
+/// engine workers; returns when the last producer is done, ingestion is
+/// flushed, the scheduler is drained, and every thread has joined. See the
+/// [module docs](self) for the architecture and the drain protocol.
 ///
 /// The scheduler may be non-empty at start (pre-seeded state is fine); it
 /// must however not contain tasks the ledger has not accepted — seed
@@ -382,7 +369,6 @@ where
     assert!(config.batch_size >= 1, "need a positive batch size");
     assert!(config.ingest_queues >= 1, "need at least one ingestion queue");
     assert!(config.flush_batch >= 1, "need a positive flush batch");
-    assert!(config.pump_threads >= 1, "need at least one pump thread");
     let nqueues = config.ingest_queues;
     let mut per_queue = vec![0usize; nqueues];
     for i in 0..producers.len() {
@@ -403,53 +389,17 @@ where
     }
     let start = Instant::now();
     let mut totals = EngineTotals::default();
-    std::thread::scope(|scope| {
+    thread::scope(|scope| {
         for (i, body) in producers.into_iter().enumerate() {
             let producer = Producer { core: &core, queue: i % nqueues };
             scope.spawn(move || body(producer));
         }
-        let core_ref = &core;
-        scope.spawn(move || {
-            if config.pump_threads <= 1 {
-                let pumps: Vec<_> = core_ref
-                    .queues
-                    .iter()
-                    .map(|q| pump(q, sched, core_ref, config.shard_watermark, config.flush_batch))
-                    .collect();
-                futures::executor::block_on(futures::future::join_all(pumps));
-            } else {
-                let pool = futures::executor::ThreadPool::builder()
-                    .pool_size(config.pump_threads)
-                    .create()
-                    .expect("pump thread pool");
-                for q in &core_ref.queues {
-                    let fut: std::pin::Pin<Box<dyn std::future::Future<Output = ()> + Send + '_>> =
-                        Box::pin(pump(
-                            q,
-                            sched,
-                            core_ref,
-                            config.shard_watermark,
-                            config.flush_batch,
-                        ));
-                    // SAFETY: `spawn_ok` wants `'static`, but every pump
-                    // borrow (queues, scheduler, core) outlives the pool:
-                    // `pool` is dropped at the end of this closure, and
-                    // `ThreadPool::drop` blocks until all spawned tasks
-                    // have completed — no pump can be polled after the
-                    // borrows expire.
-                    let fut = unsafe {
-                        std::mem::transmute::<
-                            std::pin::Pin<Box<dyn std::future::Future<Output = ()> + Send + '_>>,
-                            std::pin::Pin<
-                                Box<dyn std::future::Future<Output = ()> + Send + 'static>,
-                            >,
-                        >(fut)
-                    };
-                    pool.spawn_ok(fut);
-                }
-                drop(pool); // waits for every pump to drain its queue
-            }
-        });
+        for queue in &core.queues {
+            let capacity = &core.capacity;
+            scope.spawn(move || {
+                pump(queue, sched, capacity, config.shard_watermark, config.flush_batch);
+            });
+        }
         totals = run_engine(
             &ServiceDriver { handler, sched, core: &core },
             sched,

@@ -2,7 +2,7 @@
 //! (run with `RUSTFLAGS="--cfg rsched_model" cargo test -p rsched-core
 //! --test model_service`).
 //!
-//! The property: a pump that registers its waker and then still observes
+//! The property: a pump that registers its thread and then still observes
 //! the stall condition may park, because the worker's drain→check is
 //! guaranteed to see the registration (or the pump's re-check to see the
 //! drain) — the store-buffering fence pair in `CapacityWaiters`. The
@@ -15,16 +15,6 @@ use rsched_core::service::CapacityWaiters;
 use rsched_sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use rsched_sync::model::{Model, Sim};
 use std::sync::Arc;
-use std::task::{Wake, Waker};
-
-/// A waker that raises a (modeled) flag instead of scheduling anything.
-struct FlagWaker(Arc<AtomicBool>);
-
-impl Wake for FlagWaker {
-    fn wake(self: Arc<Self>) {
-        self.0.store(true, Ordering::SeqCst);
-    }
-}
 
 /// The minimal pump/worker shape over one occupancy word. `occupancy`
 /// deliberately uses release/acquire, not `SeqCst`: the model gives
@@ -39,22 +29,23 @@ fn wakeup_scenario(sim: &mut Sim) {
     let parked = Arc::new(AtomicBool::new(false));
     {
         // Pump: register, re-check the stall condition, park if stalled.
-        let (cap, occupancy, woken, parked) =
-            (cap.clone(), occupancy.clone(), woken.clone(), parked.clone());
+        // Parking is recorded rather than performed: the checker owns the
+        // thread, and the unpark it would wait for is what the worker counts.
+        let (cap, occupancy, parked) = (cap.clone(), occupancy.clone(), parked.clone());
         sim.thread(move || {
-            let waker = Waker::from(Arc::new(FlagWaker(woken)));
-            cap.register(&waker);
+            cap.register(std::thread::current());
             if occupancy.load(Ordering::Acquire) != 0 {
                 parked.store(true, Ordering::Relaxed);
             }
         });
     }
     {
-        // Worker: retire the occupancy, then signal capacity.
-        let (cap, occupancy) = (cap.clone(), occupancy.clone());
+        // Worker: retire the occupancy, then signal capacity, recording
+        // whether that unparked the pump.
+        let (cap, occupancy, woken) = (cap.clone(), occupancy.clone(), woken.clone());
         sim.thread(move || {
             occupancy.store(0, Ordering::Release);
-            cap.wake_all();
+            woken.store(cap.wake_all() > 0, Ordering::Relaxed);
         });
     }
     sim.finally(move || {

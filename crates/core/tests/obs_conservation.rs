@@ -145,7 +145,6 @@ fn service_counters_conserve() {
         queue_capacity: 64,
         flush_batch: 16,
         shard_watermark: usize::MAX,
-        pump_threads: 1,
     };
     let producers: Vec<ProducerFn<'_>> = (0..2u32)
         .map(|p| {

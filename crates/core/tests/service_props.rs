@@ -69,7 +69,6 @@ proptest! {
         batch_size in 1usize..9,
         shards in 1usize..4,
         watermark_raw in 0usize..24,
-        pump_threads in 1usize..4,
     ) {
         // 0 disables the watermark; small nonzero values force constant
         // pump stalls (the protocol must still terminate).
@@ -83,7 +82,6 @@ proptest! {
             queue_capacity,
             flush_batch,
             shard_watermark,
-            pump_threads,
         };
         let np = nproducers.max(usize::from(n > 0));
         let producers: Vec<ProducerFn<'_>> = (0..np as u32)

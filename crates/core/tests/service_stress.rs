@@ -31,6 +31,8 @@ const SHARDS: usize = 3;
 fn storm_of_producers_under_tight_backpressure_completes_exactly_once() {
     // Tiny queues + a watermark below the flush batch: pumps stall and
     // producers block constantly; every task must still complete once.
+    // Each queue has its own pump thread, so the three pumps park and wake
+    // genuinely concurrently.
     let n = 100_000u32;
     struct Hits(Vec<AtomicU32>);
     impl RequestHandler for Hits {
@@ -49,9 +51,6 @@ fn storm_of_producers_under_tight_backpressure_completes_exactly_once() {
         queue_capacity: 32,
         flush_batch: 64,
         shard_watermark: 48,
-        // One pump thread per queue: every stall/wake path runs with the
-        // pumps genuinely concurrent, not cooperatively scheduled.
-        pump_threads: 3,
     };
     let producers: Vec<ProducerFn<'_>> = (0..PRODUCERS as u32)
         .map(|p| {
@@ -87,7 +86,6 @@ fn streamed_connectivity_storm_matches_ground_truth() {
             queue_capacity: 256,
             flush_batch: 128,
             shard_watermark: usize::MAX,
-            pump_threads: 2,
         };
         let producers: Vec<ProducerFn<'_>> = (0..PRODUCERS as u32)
             .map(|p| {

@@ -19,7 +19,7 @@
 //!   the tail are separate steps, and node recycling makes the pointer
 //!   ABA-prone, so a try-acquirer could enqueue behind a live holder and be
 //!   forced to wait. CLH is therefore blocking-only here (DESIGN.md
-//!   substitution #9).
+//!   substitution #8).
 //! * [`TicketLock`] — fetch-and-add FIFO: one RMW per acquire, zero
 //!   allocation, but all waiters spin on the shared owner word. The baseline
 //!   queue lock, and the cheapest under low contention.

@@ -131,7 +131,7 @@ proptest! {
 
     #[test]
     fn mutual_exclusion_mixed_try_paths(threads in 2usize..5, iters in 50usize..400) {
-        // CLH is blocking-only (no sound try-acquire; DESIGN.md #9), so the
+        // CLH is blocking-only (no sound try-acquire; DESIGN.md #8), so the
         // mixed-path sweep covers the two RawTryLock implementations.
         try_torture::<McsLock>(threads, iters);
         try_torture::<TicketLock>(threads, iters);

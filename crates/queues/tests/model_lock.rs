@@ -8,7 +8,7 @@
 //! * the seeded `mcs-unlock-relaxed` mutation (Release→Relaxed on the MCS
 //!   handoff store) is *caught* — as a data race on the protected data,
 //!   the precise failure a weaker-than-Release publish causes;
-//! * the documented-unsound CLH `try_acquire` (DESIGN.md substitution #9's
+//! * the documented-unsound CLH `try_acquire` (DESIGN.md substitution #8's
 //!   "why CLH has no try") is demonstrated: the checker finds the ABA
 //!   interleaving that admits two holders.
 #![cfg(rsched_model)]

@@ -49,7 +49,6 @@ fn main() {
         queue_capacity: 256,
         flush_batch: 64,
         shard_watermark: 4_096,
-        pump_threads: 2,
     };
     // Four producers stream striped slices: arrival order at the scheduler
     // is racy by construction, and full queues block their producer — the
