@@ -7,10 +7,9 @@ use criterion::{criterion_group, BenchmarkId, Criterion};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use rsched_queues::concurrent::{
-    BulkMultiQueue, FaaArrayQueue, Heap, LockFreeMultiQueue, MultiQueue, SprayList,
+    BulkMultiQueue, FaaArrayQueue, LockFreeMultiQueue, MultiQueue, SprayList,
 };
 use rsched_queues::exact::{BinaryHeapScheduler, PairingHeap};
-use rsched_queues::lock::{ClhLock, Lock, McsLock, RawLock, TicketLock};
 use rsched_queues::reclaim::{Backend, Ebr, Reclaim, Vbr};
 use rsched_queues::relaxed::{SimMultiQueue, SimSprayList, TopKUniform};
 use rsched_queues::sharded::ShardedScheduler;
@@ -348,30 +347,6 @@ fn bench_sharded_contention(c: &mut Criterion) {
                 },
             );
             group.bench_with_input(
-                BenchmarkId::new(format!("multiqueue_mcs_t{threads}"), shards),
-                &shards,
-                |b, &s| {
-                    b.iter(|| {
-                        let q = ShardedScheduler::prefilled_with(
-                            s,
-                            (0..N).map(|p| (p, p as u32)),
-                            |_, part| {
-                                let inner: MultiQueue<u32, Lock<McsLock, Heap<u32>>> =
-                                    MultiQueue::with_lock(queues_per_shard);
-                                inner.insert_batch(&part);
-                                inner
-                            },
-                        );
-                        std::thread::scope(|sc| {
-                            for w in 0..threads {
-                                let q = &q;
-                                sc.spawn(move || black_box(drain_batched_for(q, w)));
-                            }
-                        });
-                    })
-                },
-            );
-            group.bench_with_input(
                 BenchmarkId::new(format!("lf_multiqueue_t{threads}"), shards),
                 &shards,
                 |b, &s| {
@@ -391,72 +366,6 @@ fn bench_sharded_contention(c: &mut Criterion) {
                 },
             );
         }
-    }
-    group.finish();
-}
-
-/// Uncontended iterations per lock in `lock_ops` (per measured iteration).
-const LOCK_ITERS: u64 = 10_000;
-
-/// `LOCK_ITERS` acquire/increment/release rounds on an uncontended lock.
-fn uncontended<R: RawLock>() -> u64 {
-    let lock = Lock::<R, u64>::new(0);
-    for _ in 0..LOCK_ITERS {
-        *lock.lock() += 1;
-    }
-    lock.into_inner()
-}
-
-/// `threads` workers share one lock, `LOCK_ITERS / threads` rounds each:
-/// the handoff-latency shape the queue locks exist to improve — every
-/// release forwards the critical section to a spinning waiter.
-fn handoff<R: RawLock>(threads: usize) -> u64 {
-    let lock = Lock::<R, u64>::new(0);
-    std::thread::scope(|s| {
-        for _ in 0..threads {
-            let lock = &lock;
-            s.spawn(move || {
-                for _ in 0..LOCK_ITERS / threads as u64 {
-                    *lock.lock() += 1;
-                }
-            });
-        }
-    });
-    lock.into_inner()
-}
-
-fn bench_lock_ops(c: &mut Criterion) {
-    // The queue-lock toolkit measurement (DESIGN.md substitution #8):
-    // uncontended latency (where parking_lot's adaptive fast path is the
-    // bar) and 2/4/8-way handoff latency (where local spinning on a
-    // per-waiter flag is supposed to pay for itself against the global
-    // cache-line storm of the ticket lock).
-    let mut group = c.benchmark_group("lock_ops");
-    group.sample_size(10);
-    group.bench_function("uncontended/mcs", |b| b.iter(|| black_box(uncontended::<McsLock>())));
-    group.bench_function("uncontended/clh", |b| b.iter(|| black_box(uncontended::<ClhLock>())));
-    group.bench_function("uncontended/ticket", |b| {
-        b.iter(|| black_box(uncontended::<TicketLock>()))
-    });
-    group.bench_function("uncontended/std_mutex", |b| {
-        b.iter(|| {
-            let lock = std::sync::Mutex::new(0u64);
-            for _ in 0..LOCK_ITERS {
-                *lock.lock().unwrap() += 1;
-            }
-            black_box(lock.into_inner().unwrap())
-        })
-    });
-    for threads in [2usize, 4, 8] {
-        group.bench_with_input(BenchmarkId::new("handoff_mcs", threads), &threads, |b, &t| {
-            b.iter(|| black_box(handoff::<McsLock>(t)))
-        });
-        group.bench_with_input(BenchmarkId::new("handoff_clh", threads), &threads, |b, &t| {
-            b.iter(|| black_box(handoff::<ClhLock>(t)))
-        });
-        group.bench_with_input(BenchmarkId::new("handoff_ticket", threads), &threads, |b, &t| {
-            b.iter(|| black_box(handoff::<TicketLock>(t)))
-        });
     }
     group.finish();
 }
@@ -502,37 +411,6 @@ fn bench_cross_scheduler_contention(c: &mut Criterion) {
                 });
             })
         });
-        group.bench_with_input(BenchmarkId::new("multiqueue_mcs", threads), &threads, |b, &t| {
-            // Same structure as the `multiqueue` row with the bucket mutex
-            // swapped for an MCS lock: the pinned comparison for whether
-            // FIFO handoff beats parking_lot's barging under bucket
-            // contention.
-            b.iter(|| {
-                let q: MultiQueue<u32, Lock<McsLock, Heap<u32>>> = MultiQueue::with_lock(4 * t);
-                fill_scalar(&q);
-                std::thread::scope(|s| {
-                    for _ in 0..t {
-                        s.spawn(|| black_box(drain_scalar(&q)));
-                    }
-                });
-            })
-        });
-        group.bench_with_input(
-            BenchmarkId::new("multiqueue_ticket", threads),
-            &threads,
-            |b, &t| {
-                b.iter(|| {
-                    let q: MultiQueue<u32, Lock<TicketLock, Heap<u32>>> =
-                        MultiQueue::with_lock(4 * t);
-                    fill_scalar(&q);
-                    std::thread::scope(|s| {
-                        for _ in 0..t {
-                            s.spawn(|| black_box(drain_scalar(&q)));
-                        }
-                    });
-                })
-            },
-        );
         group.bench_with_input(BenchmarkId::new("spraylist", threads), &threads, |b, &t| {
             b.iter(|| {
                 let q: SprayList<u32> = SprayList::new(t);
@@ -609,7 +487,6 @@ criterion_group!(
     bench_batched_vs_scalar,
     bench_lf_multiqueue_contention,
     bench_sharded_contention,
-    bench_lock_ops,
     bench_cross_scheduler_contention,
     bench_reclaim_bakeoff
 );

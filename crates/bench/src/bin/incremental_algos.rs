@@ -493,7 +493,7 @@ fn json_summary(
         if workload == "delaunay" {
             // The fine-grained-locking headline: concurrent wall-clock
             // against the sequential label-order run of the same instance.
-            // > 1 means the per-cell MCS locks actually bought parallelism
+            // > 1 means the per-cell try-locks actually bought parallelism
             // over the old structure-wide mutex (which could never exceed
             // 1/(1 + coordination overhead)).
             let seq = median(

@@ -40,10 +40,9 @@
 
 use crate::framework::{ConcurrentAlgorithm, IterativeAlgorithm, TaskOutcome, TaskState};
 use crate::TaskId;
+use parking_lot::Mutex;
 use rsched_graph::geom::{in_circle, on_open_segment, orient2d, Point};
 use rsched_graph::Permutation;
-use rsched_queues::lock::{McsLock, RawTryLock};
-use std::cell::UnsafeCell;
 use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
@@ -465,21 +464,17 @@ const LOC_DUPLICATE: u32 = u32::MAX - 1;
 ///   happens-before edge from that publishing Release/Acquire pair, so
 ///   `Relaxed` loads suffice).
 /// * `nbr`, `alive` — readable by lock-free speculation at any time;
-///   *written* only by a thread holding `lock`.
-/// * `bucket` — accessed (read or write) only under `lock`, except that the
-///   creator fills a fan cell's bucket between allocation and publication,
-///   while the id is still unreachable.
+///   *written* only by a thread holding the cell's lock.
+/// * `bucket` — the cell's lock is the mutex that owns its bucket, so the
+///   bucket is reachable only under that lock. The creator of a fan cell
+///   fills it through an uncontended `lock()` while the id is still
+///   unreachable.
 struct ConcCell {
     v: [AtomicU32; 3],
     nbr: [AtomicU32; 3],
     alive: AtomicBool,
-    lock: McsLock,
-    bucket: UnsafeCell<Vec<u32>>,
+    bucket: Mutex<Vec<u32>>,
 }
-
-// SAFETY: `bucket` (the one non-Sync field) is only touched under `lock`
-// or before the cell is published, per the field protocol above.
-unsafe impl Sync for ConcCell {}
 
 impl Default for ConcCell {
     fn default() -> Self {
@@ -487,8 +482,7 @@ impl Default for ConcCell {
             v: [AtomicU32::new(GHOST), AtomicU32::new(GHOST), AtomicU32::new(GHOST)],
             nbr: [AtomicU32::new(u32::MAX), AtomicU32::new(u32::MAX), AtomicU32::new(u32::MAX)],
             alive: AtomicBool::new(false),
-            lock: McsLock::new(),
-            bucket: UnsafeCell::new(Vec::new()),
+            bucket: Mutex::new(Vec::new()),
         }
     }
 }
@@ -556,9 +550,10 @@ impl fmt::Debug for CellArena {
     }
 }
 
-/// Thread-safe Delaunay with **fine-grained cavity locking**: every cell
-/// carries its own [`McsLock`] and [`ConcurrentAlgorithm::try_process`]
-/// locks exactly the cells an insertion touches — no structure-wide mutex.
+/// Thread-safe Delaunay with **fine-grained cavity locking**: every cell's
+/// bucket sits behind its own mutex, which doubles as the cell's lock, and
+/// [`ConcurrentAlgorithm::try_process`] locks exactly the cells an
+/// insertion touches — no structure-wide mutex.
 ///
 /// The protocol per popped task:
 ///
@@ -626,9 +621,7 @@ impl ConcurrentDelaunay {
                     cell.nbr[j].store(c.nbr[j], Ordering::Relaxed);
                 }
                 cell.alive.store(c.alive, Ordering::Relaxed);
-                // SAFETY: construction is single-threaded; the structure is
-                // published to workers by the thread handoff.
-                unsafe { (*cell.bucket.get()).clone_from(&c.bucket) };
+                cell.bucket.lock().clone_from(&c.bucket);
             }
         }
         let loc = seed
@@ -781,7 +774,7 @@ impl ConcurrentAlgorithm for ConcurrentDelaunay {
         lockset.dedup();
         let mut guards = Vec::with_capacity(lockset.len());
         for &id in &lockset {
-            match self.arena.get(id).lock.try_lock() {
+            match self.arena.get(id).bucket.try_lock() {
                 Some(g) => guards.push(g),
                 // Dropping `guards` releases everything acquired so far.
                 None => return TaskOutcome::Blocked,
@@ -800,7 +793,8 @@ impl ConcurrentAlgorithm for ConcurrentDelaunay {
         // Recompute the authoritative cavity: classification is a pure
         // function of the immutable vertex triple, so only *membership* can
         // differ from the speculation — and every member must be locked.
-        let locked = |id: u32| lockset.binary_search(&id).is_ok();
+        // `held(id)` is the index of `id`'s guard in `guards`.
+        let held = |id: u32| lockset.binary_search(&id).ok();
         let mut cav: Vec<u32> = vec![start];
         let mut outs: Vec<u32> = Vec::new();
         let mut class: HashMap<u32, bool> = HashMap::from([(start, true)]);
@@ -813,7 +807,7 @@ impl ConcurrentAlgorithm for ConcurrentDelaunay {
                 if class.contains_key(&nb) {
                     continue;
                 }
-                if !locked(nb) || !self.arena.get(nb).alive.load(Ordering::Acquire) {
+                if held(nb).is_none() || !self.arena.get(nb).alive.load(Ordering::Acquire) {
                     return TaskOutcome::Blocked; // speculation raced an insertion
                 }
                 let conflict = self.conflicts_v(self.cell_v(nb), p);
@@ -829,13 +823,8 @@ impl ConcurrentAlgorithm for ConcurrentDelaunay {
         // uninserted smaller-label point in `task`'s own bucket blocks it.
         // Never true for the smallest pending label, so progress is assured.
         let lt = self.labels[ti];
-        // SAFETY: `start` is locked by us.
-        let dep_blocked = unsafe {
-            (*self.arena.get(start).bucket.get())
-                .iter()
-                .any(|&q| q != task && self.labels[q as usize] < lt)
-        };
-        if dep_blocked {
+        let start_bucket = &guards[held(start).expect("start is in the lockset")];
+        if start_bucket.iter().any(|&q| q != task && self.labels[q as usize] < lt) {
             return TaskOutcome::Blocked;
         }
 
@@ -863,8 +852,7 @@ impl ConcurrentAlgorithm for ConcurrentDelaunay {
         for &cell in &cav {
             let c = self.arena.get(cell);
             c.alive.store(false, Ordering::Release);
-            // SAFETY: `cell` is locked by us.
-            let bucket = unsafe { &mut *c.bucket.get() };
+            let bucket = &mut guards[held(cell).expect("cavity cells are locked")];
             displaced.extend(bucket.drain(..).filter(|&q| q != task));
         }
 
@@ -900,16 +888,15 @@ impl ConcurrentAlgorithm for ConcurrentDelaunay {
             let qp = self.pts[q as usize];
             for idx in 0..m as u32 {
                 if self.bucket_match_v(self.cell_v(base + idx), qp) {
-                    // SAFETY: `base + idx` is ours until published below.
-                    unsafe { (*self.arena.get(base + idx).bucket.get()).push(q) };
+                    // Uncontended: `base + idx` is ours until published below.
+                    self.arena.get(base + idx).bucket.lock().push(q);
                     relocated.push((q, base + idx));
                     continue 'points;
                 }
             }
             for &outer in &outs {
                 if self.bucket_match_v(self.cell_v(outer), qp) {
-                    // SAFETY: `outer` is locked by us.
-                    unsafe { (*self.arena.get(outer).bucket.get()).push(q) };
+                    guards[held(outer).expect("boundary cells are locked")].push(q);
                     relocated.push((q, outer));
                     continue 'points;
                 }
@@ -1208,6 +1195,41 @@ mod tests {
                 assert!(verify_delaunay(&pts, &out.triangles), "sharded t={threads} b={batch}");
             }
         }
+    }
+
+    #[test]
+    fn held_cell_lock_blocks_then_releases() {
+        let pts = uniform_square(200, 1 << 13, &mut StdRng::seed_from_u64(27));
+        let pi = insertion_order(pts.len(), 10);
+        let alg = ConcurrentDelaunay::new(&pts, &pi);
+        let mut order: Vec<TaskId> = (0..pts.len() as TaskId).collect();
+        order.sort_unstable_by_key(|&t| alg.labels[t as usize]);
+        // The smallest-label pending point: never dependency-blocked, so a
+        // held lock on its cell is the only thing that can block it.
+        let task = *order
+            .iter()
+            .find(|&&t| alg.loc[t as usize].load(Ordering::Relaxed) < LOC_DUPLICATE)
+            .expect("a non-degenerate input has pending points");
+        let cell = alg.loc[task as usize].load(Ordering::Relaxed);
+        let remaining = alg.remaining();
+
+        let guard = alg.arena.get(cell).bucket.lock();
+        let bucket = guard.clone();
+        assert!(bucket.contains(&task));
+        assert_eq!(alg.try_process(task), TaskOutcome::Blocked);
+        assert_eq!(alg.loc[task as usize].load(Ordering::Relaxed), cell);
+        assert_eq!(alg.remaining(), remaining);
+        assert_eq!(*guard, bucket);
+        drop(guard);
+
+        assert_eq!(alg.try_process(task), TaskOutcome::Processed);
+        for &t in order.iter().filter(|&&t| t != task) {
+            assert_ne!(alg.try_process(t), TaskOutcome::Blocked, "label order blocked {t}");
+        }
+        assert_eq!(alg.remaining(), 0);
+        let out = alg.into_output();
+        assert!(verify_delaunay(&pts, &out.triangles));
+        assert_eq!(out.triangles, delaunay_reference(&pts, &pi).triangles);
     }
 
     #[test]

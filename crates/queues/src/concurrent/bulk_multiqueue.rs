@@ -10,7 +10,6 @@
 //! plus a small **overflow heap** receiving runtime re-insertions. Pop takes
 //! the smaller of the run head and the overflow top.
 
-use crate::lock::BucketLock;
 use crate::rng;
 use crate::{ConcurrentScheduler, Entry, BATCH_SCATTER_RUN};
 use crossbeam::utils::CachePadded;
@@ -21,24 +20,13 @@ use std::collections::BinaryHeap;
 use std::fmt;
 
 /// One [`BulkMultiQueue`] bucket: a sorted prefilled run consumed from the
-/// front plus a small overflow heap for runtime re-insertions. Public
-/// (fields private) because it names the default bucket lock's contents
-/// (`Mutex<Run<T>>`) in the type parameter list.
-pub struct Run<T> {
+/// front plus a small overflow heap for runtime re-insertions.
+struct Run<T> {
     /// Prefilled entries, sorted ascending; `sorted[head..]` are live.
     sorted: Vec<Entry<T>>,
     head: usize,
     /// Runtime insertions (failed-delete re-inserts); stays tiny.
     overflow: BinaryHeap<Reverse<Entry<T>>>,
-}
-
-impl<T: fmt::Debug> fmt::Debug for Run<T> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("Run")
-            .field("live", &(self.sorted.len() - self.head))
-            .field("overflow", &self.overflow.len())
-            .finish()
-    }
 }
 
 impl<T> Run<T> {
@@ -73,10 +61,6 @@ impl<T> Run<T> {
 /// MultiQueue over sorted runs with overflow heaps; the fast scheduler for
 /// prefilled task sets (`T: Copy` since runs are consumed in place).
 ///
-/// As for [`super::MultiQueue`], the bucket lock is pluggable: `L` is any
-/// [`BucketLock`] — `parking_lot::Mutex` by default, or a queue lock from
-/// [`crate::lock`] via [`BulkMultiQueue::prefilled_with_lock`].
-///
 /// # Examples
 ///
 /// ```
@@ -87,44 +71,19 @@ impl<T> Run<T> {
 /// assert!(p < 100);
 /// q.insert(0, 999); // re-insertions go to the overflow heap
 /// ```
-pub struct BulkMultiQueue<T, L = Mutex<Run<T>>> {
-    queues: Box<[CachePadded<L>]>,
+pub struct BulkMultiQueue<T> {
+    queues: Box<[CachePadded<Mutex<Run<T>>>]>,
     len: CachePadded<AtomicUsize>,
     seq: CachePadded<AtomicU64>,
-    _elem: std::marker::PhantomData<fn() -> T>,
 }
 
 impl<T: Copy + Send> BulkMultiQueue<T> {
-    /// Bulk-loads `entries`, scattering them over `num_queues` runs behind
-    /// the default bucket lock (`parking_lot::Mutex`).
+    /// Bulk-loads `entries`, scattering them over `num_queues` runs.
     ///
     /// # Panics
     ///
     /// Panics if `num_queues == 0`.
     pub fn prefilled<I>(num_queues: usize, entries: I) -> Self
-    where
-        I: IntoIterator<Item = (u64, T)>,
-    {
-        Self::prefilled_with_lock(num_queues, entries)
-    }
-
-    /// Creates a queue sized as in the paper (four per thread), prefilled.
-    pub fn prefilled_for_threads<I>(threads: usize, entries: I) -> Self
-    where
-        I: IntoIterator<Item = (u64, T)>,
-    {
-        Self::prefilled(4 * threads.max(1), entries)
-    }
-}
-
-impl<T: Copy + Send, L: BucketLock<Run<T>>> BulkMultiQueue<T, L> {
-    /// Bulk-loads `entries` over `num_queues` runs behind the bucket lock
-    /// chosen by the `L` type parameter.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `num_queues == 0`.
-    pub fn prefilled_with_lock<I>(num_queues: usize, entries: I) -> Self
     where
         I: IntoIterator<Item = (u64, T)>,
     {
@@ -136,20 +95,31 @@ impl<T: Copy + Send, L: BucketLock<Run<T>>> BulkMultiQueue<T, L> {
             seq += 1;
         }
         let mut total = 0usize;
-        let queues: Box<[CachePadded<L>]> = buckets
+        let queues = buckets
             .into_iter()
             .map(|mut b| {
                 b.sort_unstable();
                 total += b.len();
-                CachePadded::new(L::new(Run { sorted: b, head: 0, overflow: BinaryHeap::new() }))
+                CachePadded::new(Mutex::new(Run {
+                    sorted: b,
+                    head: 0,
+                    overflow: BinaryHeap::new(),
+                }))
             })
             .collect();
         BulkMultiQueue {
             queues,
             len: CachePadded::new(AtomicUsize::new(total)),
             seq: CachePadded::new(AtomicU64::new(seq)),
-            _elem: std::marker::PhantomData,
         }
+    }
+
+    /// Creates a queue sized as in the paper (four per thread), prefilled.
+    pub fn prefilled_for_threads<I>(threads: usize, entries: I) -> Self
+    where
+        I: IntoIterator<Item = (u64, T)>,
+    {
+        Self::prefilled(4 * threads.max(1), entries)
     }
 
     /// Number of internal queues.
@@ -168,7 +138,7 @@ impl<T: Copy + Send, L: BucketLock<Run<T>>> BulkMultiQueue<T, L> {
     }
 }
 
-impl<T: Copy + Send, L: BucketLock<Run<T>>> ConcurrentScheduler<T> for BulkMultiQueue<T, L> {
+impl<T: Copy + Send> ConcurrentScheduler<T> for BulkMultiQueue<T> {
     fn insert(&self, priority: u64, item: T) {
         let seq = self.seq.fetch_add(1, Ordering::Relaxed);
         let entry = Entry::new(priority, seq, item);
@@ -325,7 +295,7 @@ impl<T: Copy + Send, L: BucketLock<Run<T>>> ConcurrentScheduler<T> for BulkMulti
     }
 }
 
-impl<T, L> fmt::Debug for BulkMultiQueue<T, L> {
+impl<T> fmt::Debug for BulkMultiQueue<T> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("BulkMultiQueue")
             .field("num_queues", &self.queues.len())

@@ -25,9 +25,9 @@ mod lf_multiqueue;
 mod multiqueue;
 mod spraylist;
 
-pub use bulk_multiqueue::{BulkMultiQueue, Run};
+pub use bulk_multiqueue::BulkMultiQueue;
 pub use faa_queue::FaaArrayQueue;
 pub use lf_list::HarrisList;
 pub use lf_multiqueue::LockFreeMultiQueue;
-pub use multiqueue::{Heap, MultiQueue};
+pub use multiqueue::MultiQueue;
 pub use spraylist::SprayList;

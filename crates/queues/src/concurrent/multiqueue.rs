@@ -1,6 +1,5 @@
 //! The lock-based MultiQueue relaxed scheduler \[21\].
 
-use crate::lock::BucketLock;
 use crate::rng;
 use crate::{ConcurrentScheduler, Entry, BATCH_SCATTER_RUN};
 use crossbeam::utils::CachePadded;
@@ -10,10 +9,8 @@ use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::fmt;
 
-/// The per-bucket structure a [`MultiQueue`] guards behind each bucket
-/// lock: a min-heap of entries. Public because it names the default bucket
-/// lock's contents (`Mutex<Heap<T>>`) in the type parameter list.
-pub type Heap<T> = BinaryHeap<Reverse<Entry<T>>>;
+/// One [`MultiQueue`] bucket: a min-heap of entries.
+type Heap<T> = BinaryHeap<Reverse<Entry<T>>>;
 
 /// A MultiQueue: `q` binary heaps behind try-locks.
 ///
@@ -23,68 +20,43 @@ pub type Heap<T> = BinaryHeap<Reverse<Entry<T>>>;
 /// tails \[2\] — a `k`-relaxed scheduler in the paper's sense. The paper's
 /// experiments use `c = 4`.
 ///
-/// The bucket lock is pluggable: `L` is any [`BucketLock`] —
-/// `parking_lot::Mutex` by default (unchanged behavior), or a queue lock
-/// from [`crate::lock`] via [`MultiQueue::with_lock`], the contention
-/// comparison the `lock_ops`/`cross_scheduler_contention` criterion groups
-/// measure.
-///
 /// # Examples
 ///
 /// ```
 /// use rsched_queues::{ConcurrentScheduler, concurrent::MultiQueue};
-/// use rsched_queues::lock::{Lock, McsLock};
 ///
 /// let q = MultiQueue::for_threads(2);
 /// q.insert(3, "c");
 /// q.insert(1, "a");
 /// assert!(q.pop().is_some());
-///
-/// // Same scheduler over MCS bucket locks:
-/// let q: MultiQueue<u32, Lock<McsLock, _>> = MultiQueue::with_lock(8);
-/// q.insert(1, 1);
-/// assert_eq!(q.pop(), Some((1, 1)));
 /// ```
-pub struct MultiQueue<T, L = Mutex<Heap<T>>> {
-    queues: Box<[CachePadded<L>]>,
+pub struct MultiQueue<T> {
+    queues: Box<[CachePadded<Mutex<Heap<T>>>]>,
     len: CachePadded<AtomicUsize>,
     seq: CachePadded<AtomicU64>,
-    _elem: std::marker::PhantomData<fn() -> T>,
 }
 
 impl<T: Send> MultiQueue<T> {
-    /// Creates a MultiQueue with `num_queues` internal heaps behind the
-    /// default bucket lock (`parking_lot::Mutex`).
+    /// Creates a MultiQueue with `num_queues` internal heaps.
     ///
     /// # Panics
     ///
     /// Panics if `num_queues == 0`.
     pub fn new(num_queues: usize) -> Self {
-        Self::with_lock(num_queues)
+        assert!(num_queues >= 1, "need at least one internal queue");
+        MultiQueue {
+            queues: (0..num_queues)
+                .map(|_| CachePadded::new(Mutex::new(BinaryHeap::new())))
+                .collect(),
+            len: CachePadded::new(AtomicUsize::new(0)),
+            seq: CachePadded::new(AtomicU64::new(0)),
+        }
     }
 
     /// Creates a MultiQueue sized as in the paper's experiments: four heaps
     /// per thread.
     pub fn for_threads(threads: usize) -> Self {
         Self::new(4 * threads.max(1))
-    }
-}
-
-impl<T: Send, L: BucketLock<Heap<T>>> MultiQueue<T, L> {
-    /// Creates a MultiQueue with `num_queues` internal heaps behind the
-    /// bucket lock chosen by the `L` type parameter.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `num_queues == 0`.
-    pub fn with_lock(num_queues: usize) -> Self {
-        assert!(num_queues >= 1, "need at least one internal queue");
-        MultiQueue {
-            queues: (0..num_queues).map(|_| CachePadded::new(L::new(BinaryHeap::new()))).collect(),
-            len: CachePadded::new(AtomicUsize::new(0)),
-            seq: CachePadded::new(AtomicU64::new(0)),
-            _elem: std::marker::PhantomData,
-        }
     }
 
     /// Number of internal heaps.
@@ -117,7 +89,7 @@ impl<T: Send, L: BucketLock<Heap<T>>> MultiQueue<T, L> {
     }
 }
 
-impl<T: Send, L: BucketLock<Heap<T>>> ConcurrentScheduler<T> for MultiQueue<T, L> {
+impl<T: Send> ConcurrentScheduler<T> for MultiQueue<T> {
     fn insert(&self, priority: u64, item: T) {
         let seq = self.seq.fetch_add(1, Ordering::Relaxed);
         self.push_entry(Entry::new(priority, seq, item));
@@ -277,7 +249,7 @@ impl<T: Send, L: BucketLock<Heap<T>>> ConcurrentScheduler<T> for MultiQueue<T, L
     }
 }
 
-impl<T, L> fmt::Debug for MultiQueue<T, L> {
+impl<T> fmt::Debug for MultiQueue<T> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("MultiQueue")
             .field("num_queues", &self.queues.len())
@@ -398,37 +370,31 @@ mod tests {
     }
 
     #[test]
-    fn queue_lock_buckets_pop_exactly_once() {
-        use crate::lock::{Lock, McsLock, TicketLock};
-
-        fn drive<L: crate::lock::BucketLock<super::Heap<u64>>>(q: &MultiQueue<u64, L>) {
-            let seen = StdMutex::new(HashSet::new());
-            std::thread::scope(|s| {
-                for t in 0..4u64 {
-                    let (q, seen) = (q, &seen);
-                    s.spawn(move || {
-                        for i in 0..2_000 {
-                            q.insert(t * 2_000 + i, t * 2_000 + i);
-                        }
-                        let mut local = Vec::new();
-                        while let Some((_, v)) = q.pop() {
-                            local.push(v);
-                        }
-                        let mut set = seen.lock().unwrap();
-                        for v in local {
-                            assert!(set.insert(v), "value {v} popped twice");
-                        }
-                    });
-                }
-            });
-            let mut rest = seen.into_inner().unwrap();
-            while let Some((_, v)) = q.pop() {
-                assert!(rest.insert(v), "value {v} popped twice");
+    fn concurrent_insert_pop_exactly_once() {
+        let q = MultiQueue::<u64>::new(8);
+        let seen = StdMutex::new(HashSet::new());
+        std::thread::scope(|s| {
+            for t in 0..4u64 {
+                let (q, seen) = (&q, &seen);
+                s.spawn(move || {
+                    for i in 0..2_000 {
+                        q.insert(t * 2_000 + i, t * 2_000 + i);
+                    }
+                    let mut local = Vec::new();
+                    while let Some((_, v)) = q.pop() {
+                        local.push(v);
+                    }
+                    let mut set = seen.lock().unwrap();
+                    for v in local {
+                        assert!(set.insert(v), "value {v} popped twice");
+                    }
+                });
             }
-            assert_eq!(rest.len(), 8_000);
+        });
+        let mut rest = seen.into_inner().unwrap();
+        while let Some((_, v)) = q.pop() {
+            assert!(rest.insert(v), "value {v} popped twice");
         }
-
-        drive(&MultiQueue::<u64, Lock<McsLock, _>>::with_lock(8));
-        drive(&MultiQueue::<u64, Lock<TicketLock, _>>::with_lock(8));
+        assert_eq!(rest.len(), 8_000);
     }
 }

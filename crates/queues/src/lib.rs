@@ -43,7 +43,6 @@ pub mod exact;
 pub mod hash;
 mod indexed_set;
 pub mod instrument;
-pub mod lock;
 pub mod reclaim;
 pub mod relaxed;
 pub(crate) mod rng;

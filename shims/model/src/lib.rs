@@ -1,7 +1,7 @@
 //! # rsched-sync — synchronization façade + deterministic model checker
 //!
-//! Every hand-rolled protocol in this workspace (the MCS/CLH/ticket lock
-//! toolkit, the epoch shim's pin/advance handshake, the service layer's
+//! Every hand-rolled protocol in this workspace (the epoch shim's
+//! pin/advance handshake, the VBR version recheck, the service layer's
 //! `CapacityWaiters` backpressure wakeups) imports its atomics from this
 //! crate instead of `std::sync::atomic` — a rule enforced by the
 //! `rsched-lint` CI step.
@@ -27,7 +27,7 @@
 //!
 //! ```text
 //! RUSTFLAGS="--cfg rsched_model" cargo test --release -p rsched-sync --test litmus
-//! RUSTFLAGS="--cfg rsched_model" cargo test --release -p rsched-queues --test model_lock
+//! RUSTFLAGS="--cfg rsched_model" cargo test --release -p rsched-queues --test model_vbr
 //! ```
 //!
 //! Knobs: `RSCHED_MODEL_PREEMPTIONS` (preemption bound, default 2),
